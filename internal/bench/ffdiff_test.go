@@ -15,9 +15,9 @@ import (
 // contract (DESIGN.md §10): every simulation surface the harness exports —
 // outcomes, trace events, metrics rows, goldens, journals — must be
 // byte-identical whether the core runs the naive per-cycle loop
-// (Options.NoFastForward, the oracle) or the event-horizon fast-forward
-// that is on by default. The core-level differential suite lives in
-// internal/core/horizon_test.go; these tests pin the same equivalence
+// (Options.NoFastForward, the oracle) or the default kernel, which parks
+// inert PEs and fast-forwards inert cycles. The core-level differential suite lives in
+// internal/core/kernel_test.go; these tests pin the same equivalence
 // through the full application stack.
 
 // ffJobs is the standard differential job list: every app's first input on

@@ -13,12 +13,14 @@ import (
 
 // The journal is an append-only JSONL file that makes a sweep crash-safe:
 // every finished job — successful or not — is flushed as one self-checking
-// record before the sweep moves on, so an interruption (SIGINT, OOM kill,
-// power loss) loses at most the jobs that were in flight. ResumeJournal
-// reads the records back, verifies them, and lets the Runner replay
-// completed jobs instead of re-simulating them; because simulations are
-// deterministic and outcomes round-trip JSON losslessly, a resumed sweep's
-// tables are byte-identical to an uninterrupted run's.
+// record as soon as every job submitted before it has finished (the
+// Runner commits in submission order, so the file's bytes do not depend on
+// the worker count), and an interruption (SIGINT, OOM kill, power loss)
+// loses at most the jobs that were in flight or waiting behind one.
+// ResumeJournal reads the records back, verifies them, and lets the Runner
+// replay completed jobs instead of re-simulating them; because simulations
+// are deterministic and outcomes round-trip JSON losslessly, a resumed
+// sweep's tables are byte-identical to an uninterrupted run's.
 //
 // File layout: line 1 is a header binding the journal to its options
 // (version, scale, seed, app subset); every further line is one Record.

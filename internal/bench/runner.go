@@ -113,18 +113,26 @@ func (r Runner) Run(opt Options, jobs []Job) []JobResult {
 	}
 
 	results := make([]JobResult, len(jobs))
-	var progressMu sync.Mutex
-	done := 0
+	// Journal records commit in submission order through a reorder window:
+	// a finished job waits until every earlier job has finished, so the
+	// journal's bytes are the same at any worker count. Progress still
+	// reports in completion order.
+	finished := make([]bool, len(jobs))
+	var mu sync.Mutex
+	next, done := 0, 0
 	finish := func(i int, res JobResult) {
+		mu.Lock()
+		defer mu.Unlock()
 		results[i] = res
-		if !res.Replayed {
-			opt.Journal.record(r.Sweep, i, res)
+		finished[i] = true
+		for ; next < len(jobs) && finished[next]; next++ {
+			if !results[next].Replayed {
+				opt.Journal.record(r.Sweep, next, results[next])
+			}
 		}
 		if r.Progress != nil {
-			progressMu.Lock()
 			done++
-			r.Progress(done, len(jobs), results[i])
-			progressMu.Unlock()
+			r.Progress(done, len(jobs), res)
 		}
 	}
 

@@ -3,6 +3,8 @@ package bench
 import (
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -43,6 +45,57 @@ func TestRunnerSubmissionOrder(t *testing.T) {
 		if res.Outcome.Cycles != uint64(i)+1 {
 			t.Fatalf("result %d has Cycles=%d, want %d", i, res.Outcome.Cycles, i+1)
 		}
+	}
+}
+
+// TestRunnerJournalSubmissionOrder forces four workers whatever the host's
+// CPU count and makes the jobs finish in reverse submission order: the
+// journal must still hold its records in submission order, byte-identical
+// to a one-worker run's.
+func TestRunnerJournalSubmissionOrder(t *testing.T) {
+	const n = 4
+	dir := t.TempDir()
+	journaled := func(name string, workers int) []byte {
+		// Job i may finish only after job i+1 has, so with all four running
+		// at once they complete n-1, ..., 0. One worker runs them in order.
+		finished := make([]chan struct{}, n+1)
+		for i := range finished {
+			finished[i] = make(chan struct{})
+		}
+		close(finished[n])
+		r := Runner{
+			Workers: workers,
+			run: func(j Job, _ Options) (apps.Outcome, error) {
+				var i int
+				fmt.Sscanf(j.Input, "in%d", &i)
+				if workers > 1 {
+					<-finished[i+1]
+				}
+				close(finished[i])
+				return apps.Outcome{Cycles: uint64(i) + 1}, nil
+			},
+		}
+		path := filepath.Join(dir, name)
+		opt := Options{Scale: 0, Seed: 1}
+		j, err := CreateJournal(path, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opt.Journal = j
+		r.Run(opt, stubJobs(n))
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	serial := journaled("j1.jsonl", 1)
+	parallel := journaled("j4.jsonl", 4)
+	if string(parallel) != string(serial) {
+		t.Errorf("journal bytes depend on the worker count\n-j 4:\n%s\n-j 1:\n%s", parallel, serial)
 	}
 }
 

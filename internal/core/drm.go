@@ -64,7 +64,7 @@ type DRM struct {
 	lastReady uint64
 	respExtra uint64 // fault injection: extra latency on every response
 
-	// Event-horizon bookkeeping (see horizon.go), rewritten by every Tick:
+	// Event-horizon bookkeeping (see kernel.go), rewritten by every Tick:
 	// wake is the earliest future cycle this DRM could act; outBlocked marks
 	// the one inert state with a per-cycle side effect (a ready head token
 	// against a full output counts OutFull every cycle until space appears).
@@ -201,7 +201,7 @@ func (d *DRM) Busy() bool {
 // Tick advances the DRM by one cycle: complete up to issue-width ready
 // accesses if the output has space, then issue up to issue-width new ones.
 // It also publishes the DRM's wake cycle for the event-horizon kernel
-// (horizon.go): now+1 after any progress, the head entry's ready cycle when
+// (kernel.go): now+1 after any progress, the head entry's ready cycle when
 // only time separates the DRM from delivering, and horizonNever when only an
 // external change (new addresses, output space) can unblock it.
 func (d *DRM) Tick(now uint64) {

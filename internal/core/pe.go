@@ -36,7 +36,7 @@ type PE struct {
 	cooldownUntil []uint64
 	firedSinceAct bool
 
-	// Event-horizon bookkeeping (horizon.go), rewritten by every Tick:
+	// Event-horizon bookkeeping (kernel.go), rewritten by every Tick:
 	// wake is the earliest future cycle this PE (fabric or any DRM) could
 	// act; inertBucket is the CPI bucket every cycle until then charges; and
 	// slideCooldown marks the fruitless-activation state whose per-cycle
@@ -45,20 +45,23 @@ type PE struct {
 	inertBucket   inertBucket
 	slideCooldown bool
 
-	// Sharded-kernel per-PE parking state (shard.go): caughtUp is the cycle
-	// up to which this PE's deferred inert accounting has been applied;
-	// shDirty marks an external arrival (credited token, credit return,
-	// program injection) that obliges the PE to tick even though its
-	// published wake predates the arrival; poll marks a PE hosting a stage
-	// with an exotic port (stage.Exotic), whose readiness may depend on
-	// program state outside the queue/credit fabric — such a PE cannot be
-	// parked while stages fire anywhere; firedNow records whether this
-	// tick's fabric fired a stage (the only place user code runs). All
-	// unused by the sequential kernel.
-	caughtUp uint64
-	shDirty  bool
-	poll     bool
-	firedNow bool
+	// Parking state (kernel.go): caughtUp is the cycle up to which this
+	// PE's per-cycle accounting has been applied (a parked PE lags until its
+	// next tick or a settle); dirty marks an external arrival (credited
+	// token, credit return, program injection) that obliges the PE to tick
+	// although its published wake predates the arrival; busy caches Busy
+	// for the quiet scan and is refreshed when busyStale (set by every
+	// tick); poll marks a PE hosting a stage with an exotic port
+	// (stage.Exotic), whose readiness may depend on program state outside
+	// the queue/credit fabric, so it ticks after every firing; firedNow
+	// records whether this tick's fabric fired a stage (the only place user
+	// code runs).
+	caughtUp  uint64
+	dirty     bool
+	busy      bool
+	busyStale bool
+	poll      bool
+	firedNow  bool
 
 	// Per-tick stage snapshot (scanStages): InputWork and readiness of every
 	// resident stage, computed once per blocked cycle and shared by pick,

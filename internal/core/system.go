@@ -39,25 +39,9 @@ type System struct {
 	Cycle   uint64
 
 	arbiters []*queue.Arbiter
-	// arbConsumers records, parallel to arbiters, the consumer PE of each
-	// inter-PE queue; the sharded kernel maps it to the consumer's shard when
-	// installing its exchange hooks (shard.go).
-	arbConsumers []int
-
-	// Sharded-kernel state (shard.go); nil/zero for the sequential kernel.
-	shards   []*shard
-	peShard  []int // PE id -> shard index
-	curShard int   // shard currently ticking, -1 between engagements
-	curPE    int   // PE currently ticking inside an engagement, -1 otherwise
-	// crossTouch is set by the exchange hooks whenever they mark a shard
-	// other than the one currently ticking; a batched engagement (shard.go)
-	// must end its autonomous run at the cycle that touched another shard.
-	crossTouch bool
-	// sweepFired: some stage fired during the current sweep cycle; every
-	// poll PE (exotic ports, see PE.poll) must then tick no later than the
-	// next cycle. hasPoll caches whether any poll PE exists.
-	sweepFired bool
-	hasPoll    bool
+	// curPE is the PE whose Tick is running, nil outside the sweep; the
+	// exchange hooks learn each credit port's producer PE from it.
+	curPE *PE
 
 	// hooks run at the top of every cycle, before the PEs tick. They exist
 	// for observers and fault injectors (internal/faults); Run never skips
@@ -107,7 +91,7 @@ func NewSystemChecked(cfg Config) (*System, error) {
 	// PEs live in one contiguous backing array so the run loop's per-cycle
 	// sweep walks sequential memory instead of pointer-chasing individually
 	// boxed PEs; s.PEs keeps the pointer-slice shape the rest of the code
-	// (and the shard partitioning) works in.
+	// works in.
 	pes := make([]PE, cfg.PEs)
 	s.PEs = make([]*PE, cfg.PEs)
 	for i := range pes {
@@ -129,20 +113,16 @@ func (s *System) PE(i int) *PE { return s.PEs[i] }
 // InterPEQueue allocates a credited inter-PE queue: the buffer lives in the
 // consumer PE's queue memory; producers get credit ports (Sec. 5.6).
 func (s *System) InterPEQueue(consumer int, name string, capTokens, producers int) *queue.Arbiter {
-	q := s.PEs[consumer].AllocQueue(name, capTokens)
-	a := queue.NewArbiter(q, producers)
-	if h := s.creditTracer(consumer, q); h != nil {
-		a.SetCreditHook(h)
-	}
+	pe := s.PEs[consumer]
+	a := queue.NewArbiter(pe.AllocQueue(name, capTokens), producers)
+	s.exchangeHooks(a, pe)
 	s.arbiters = append(s.arbiters, a)
-	s.arbConsumers = append(s.arbConsumers, consumer)
 	return a
 }
 
 // creditTracer builds the credit-movement trace hook for an inter-PE queue,
-// or nil when tracing is off. The sequential kernel installs it directly;
-// the sharded kernel chains it behind its own exchange bookkeeping so traced
-// runs emit the identical event stream (shard.go).
+// or nil when tracing is off; exchangeHooks chains it behind the kernel's
+// wake bookkeeping.
 func (s *System) creditTracer(consumer int, q *queue.Queue) func(port int, granted bool) {
 	t := s.tracer
 	if t == nil {
@@ -200,10 +180,6 @@ type Result struct {
 // simulation fails as one job instead of crashing the process), and with
 // ErrCanceled when Cfg.Done is closed (checked before the first cycle and
 // at watchdog-checkpoint granularity thereafter).
-//
-// Cfg.Shards > 1 selects the sharded kernel (shard.go), whose results are
-// bit-identical to the sequential kernel's for every surface; 0 or 1 runs
-// the sequential loop below.
 func (s *System) Run(prog Program) (res Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -211,167 +187,16 @@ func (s *System) Run(prog Program) (res Result, err error) {
 			if !ok {
 				panic(r)
 			}
+			s.settleCut()
 			err = fmt.Errorf("%w: corruption: %s: %s\n%s",
 				ErrInvariant, c.Component, c.Detail, s.BlockedSummary(dumpExcerptLines))
 		}
 	}()
-	if s.Cfg.Shards > 1 {
-		return s.runSharded(prog)
-	}
 	return s.runSeq(prog)
 }
 
-// runSeq is the sequential kernel: one goroutine ticks every PE in
-// ascending id order each cycle, with the event-horizon fast-forward of
-// horizon.go batching provably inert windows.
-func (s *System) runSeq(prog Program) (res Result, err error) {
-	// The watchdog compares monotonic progress counters at checkpoints half
-	// a window apart: two equal consecutive snapshots prove zero progress
-	// over at least half a window, and the deadlock is reported within one
-	// full window of the last real progress.
-	var wdInterval uint64
-	if s.Cfg.WatchdogCycles > 0 {
-		if wdInterval = s.Cfg.WatchdogCycles / 2; wdInterval == 0 {
-			wdInterval = 1
-		}
-	}
-	// Cancellation rides the watchdog's checkpoint cadence so it adds no
-	// per-cycle work of its own; with the watchdog disabled it falls back
-	// to a fixed polling interval.
-	var cancelEvery uint64
-	if s.Cfg.Done != nil {
-		if cancelEvery = wdInterval; cancelEvery == 0 {
-			cancelEvery = cancelInterval
-		}
-		select {
-		case <-s.Cfg.Done:
-			return res, s.canceledError()
-		default:
-		}
-	}
-	// Metrics sampling rides its own period; zero Cfg.Metrics keeps
-	// sampleEvery at 0, reducing the per-cycle cost to one comparison.
-	var sampleEvery uint64
-	if s.Cfg.Metrics != nil {
-		if sampleEvery = s.Cfg.MetricsCycles; sampleEvery == 0 {
-			sampleEvery = DefaultMetricsCycles
-		}
-		if s.lastStacks == nil {
-			s.lastStacks = make([]CPIStack, len(s.PEs))
-		}
-	}
-	lastSig := s.progressSig()
-	lastProgress := s.Cycle
-	// checks runs the per-cycle observation points at the current (already
-	// incremented) cycle, in the order the loop has always run them:
-	// cancellation poll, metrics sample, watchdog checkpoint, invariant
-	// audit, cycle budget. The fast-forward path calls it too, after landing
-	// the clock exactly on the next boundary, so every observation happens
-	// at its original cycle against the same state in both loops.
-	checks := func() (stop bool, err error) {
-		if cancelEvery > 0 && s.Cycle%cancelEvery == 0 {
-			select {
-			case <-s.Cfg.Done:
-				return true, s.canceledError()
-			default:
-			}
-		}
-		if sampleEvery > 0 && s.Cycle%sampleEvery == 0 {
-			s.sampleMetrics()
-		}
-		if wdInterval > 0 && s.Cycle%wdInterval == 0 {
-			sig := s.progressSig()
-			if s.tracer != nil {
-				s.tracer.Emit(trace.Event{Cycle: s.Cycle, PE: -1,
-					Kind: trace.KindCheckpoint, Name: "watchdog", Arg: sig.firings})
-			}
-			if sig == lastSig {
-				return true, s.deadlockError(lastProgress)
-			}
-			lastSig, lastProgress = sig, s.Cycle
-		}
-		if s.Cfg.AuditCycles > 0 && s.Cycle%s.Cfg.AuditCycles == 0 {
-			if aerr := s.AuditLive(); aerr != nil {
-				return true, aerr
-			}
-		}
-		if s.Cycle >= s.Cfg.MaxCycles {
-			return true, fmt.Errorf("%w: MaxCycles=%d (deadlock or runaway program)\n%s",
-				ErrMaxCycles, s.Cfg.MaxCycles, s.BlockedSummary(dumpExcerptLines))
-		}
-		return false, nil
-	}
-	for {
-		quiet := true
-		if len(s.hooks) > 0 {
-			for _, f := range s.hooks {
-				f(s, s.Cycle)
-			}
-		}
-		sysWake := horizonNever
-		for _, pe := range s.PEs {
-			pe.Tick(s.Cycle)
-			if pe.wake < sysWake {
-				sysWake = pe.wake
-			}
-		}
-		if s.Cycle%64 == 0 {
-			for _, pe := range s.PEs {
-				pe.QMem.Sample()
-			}
-		}
-		for _, pe := range s.PEs {
-			if pe.Busy(s.Cycle) {
-				quiet = false
-				break
-			}
-		}
-		s.Cycle++
-		if quiet {
-			if !prog.Quiesced(s) {
-				break
-			}
-			res.Rounds++
-		}
-		if stop, cerr := checks(); stop {
-			return res, cerr
-		}
-		// Event-horizon fast-forward (horizon.go): when every PE just proved
-		// it cannot act before sysWake, batch-execute the inert cycles up to
-		// the earlier of sysWake and the next observation boundary, then run
-		// that boundary's checks at its original cycle. Skipped only when
-		// hooks are registered (fault injectors mutate state mid-window),
-		// when the system just quiesced (the program may have injected new
-		// work the stale wakes don't see), or with the NoFastForward oracle.
-		if !quiet && sysWake > s.Cycle && !s.Cfg.NoFastForward && len(s.hooks) == 0 {
-			w := sysWake
-			clampMult := func(period uint64) {
-				if period > 0 {
-					if next := (s.Cycle/period + 1) * period; next < w {
-						w = next
-					}
-				}
-			}
-			clampMult(cancelEvery)
-			clampMult(sampleEvery)
-			clampMult(wdInterval)
-			clampMult(s.Cfg.AuditCycles)
-			if s.Cfg.MaxCycles < w {
-				w = s.Cfg.MaxCycles
-			}
-			s.advanceInert(w)
-			if stop, cerr := checks(); stop {
-				return res, cerr
-			}
-		}
-	}
-	s.finishRun(&res)
-	return res, nil
-}
-
 // finishRun flushes the final partial metrics window and aggregates per-PE
-// statistics into res. Both kernels end a successful run here, against
-// identical machine state.
+// statistics into res, against settled machine state.
 func (s *System) finishRun(res *Result) {
 	res.Cycles = s.Cycle
 	// Flush the final partial metrics window so per-PE deltas sum to the

@@ -72,8 +72,8 @@ type Arbiter struct {
 	credit func(port int, granted bool)
 
 	// send, when non-nil, runs at the top of every successful Send, BEFORE
-	// the token lands in the destination queue. The sharded simulation kernel
-	// uses it to settle the consumer's deferred per-cycle accounting while the
+	// the token lands in the destination queue. The simulation kernel uses
+	// it to settle the consumer's deferred per-cycle accounting while the
 	// destination queue's occupancy is still the pre-send value; rejected
 	// sends (no credits) never invoke it. Nil costs one branch per send.
 	send func(port int)
