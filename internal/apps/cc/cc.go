@@ -15,6 +15,11 @@ const Name = "CC"
 
 // Run executes CC on the chosen system and input.
 func Run(kind apps.SystemKind, input graph.Input, scale graph.Scale, seed uint64, merged bool, override func(*core.Config)) (apps.Outcome, error) {
-	g := graph.Generate(input, scale, seed)
+	return RunGraph(kind, graph.Generate(input, scale, seed), scale, merged, override)
+}
+
+// RunGraph executes CC on an already generated input graph, which it only
+// reads.
+func RunGraph(kind apps.SystemKind, g *graph.Graph, scale graph.Scale, merged bool, override func(*core.Config)) (apps.Outcome, error) {
 	return graphpipe.RunApp(kind, graphpipe.ModeCC, g, nil, int(scale), merged, override)
 }

@@ -18,7 +18,11 @@ const Name = "PRD"
 
 // Run executes PageRank-Delta on the chosen system and input.
 func Run(kind apps.SystemKind, input graph.Input, scale graph.Scale, seed uint64, merged bool, override func(*core.Config)) (apps.Outcome, error) {
-	g := graph.Generate(input, scale, seed)
-	cfg := graph.DefaultPRD()
-	return runApp(kind, g, cfg, int(scale), merged, override)
+	return RunGraph(kind, graph.Generate(input, scale, seed), scale, merged, override)
+}
+
+// RunGraph executes PageRank-Delta on an already generated input graph,
+// which it only reads.
+func RunGraph(kind apps.SystemKind, g *graph.Graph, scale graph.Scale, merged bool, override func(*core.Config)) (apps.Outcome, error) {
+	return runApp(kind, g, graph.DefaultPRD(), int(scale), merged, override)
 }

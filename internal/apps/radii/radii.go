@@ -20,7 +20,13 @@ const Samples = 4
 
 // Run executes Radii on the chosen system and input.
 func Run(kind apps.SystemKind, input graph.Input, scale graph.Scale, seed uint64, merged bool, override func(*core.Config)) (apps.Outcome, error) {
-	g := graph.Generate(input, scale, seed)
+	return RunGraph(kind, graph.Generate(input, scale, seed), scale, seed, merged, override)
+}
+
+// RunGraph executes Radii on an already generated input graph, which it
+// only reads. The BFS sources are sampled from g with a generator seeded
+// by seed.
+func RunGraph(kind apps.SystemKind, g *graph.Graph, scale graph.Scale, seed uint64, merged bool, override func(*core.Config)) (apps.Outcome, error) {
 	sources := graph.SampleSources(g, Samples, sim.NewRand(seed^0x4add1))
 	return graphpipe.RunApp(kind, graphpipe.ModeRadii, g, sources, int(scale), merged, override)
 }

@@ -63,7 +63,12 @@ func GenerateDataset(scale int, seed uint64) Dataset {
 
 // Run executes Silo on the chosen system at the given scale.
 func Run(kind apps.SystemKind, scale int, seed uint64, merged bool, override func(*core.Config)) (apps.Outcome, error) {
-	ds := GenerateDataset(scale, seed)
+	return RunDataset(kind, GenerateDataset(scale, seed), scale, merged, override)
+}
+
+// RunDataset executes Silo on an already generated dataset, which it only
+// reads.
+func RunDataset(kind apps.SystemKind, ds Dataset, scale int, merged bool, override func(*core.Config)) (apps.Outcome, error) {
 	return runApp(kind, ds, scale, merged, override)
 }
 

@@ -48,7 +48,12 @@ func sampleFor(m *sparse.CSR, scale int) (rows, cols []int) {
 // system and input.
 func Run(kind apps.SystemKind, input sparse.Input, scale int, seed uint64, merged bool, override func(*core.Config)) (apps.Outcome, error) {
 	a := sparse.Generate(input, scale, seed)
-	b := sparse.Transpose(a)
+	return RunMatrix(kind, a, sparse.Transpose(a), scale, merged, override)
+}
+
+// RunMatrix executes SpMM on an already generated matrix A and its
+// transpose B = Transpose(A), which it only reads.
+func RunMatrix(kind apps.SystemKind, a *sparse.CSR, b *sparse.CSC, scale int, merged bool, override func(*core.Config)) (apps.Outcome, error) {
 	rows, cols := sampleFor(a, scale)
 	return runApp(kind, a, b, rows, cols, scale, merged, override)
 }

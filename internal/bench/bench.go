@@ -89,6 +89,10 @@ type Options struct {
 	// wall-clock time differs. Applied before the per-job Override, which
 	// wins as usual.
 	NoFastForward bool
+
+	// inputs is the batch's shared input cache, set by Runner.Run; nil
+	// (a direct RunOne call) generates the job's inputs afresh.
+	inputs *inputCache
 }
 
 // DefaultOptions returns the standard harness configuration.
@@ -196,21 +200,24 @@ func cyclesKnob(v int64) uint64 {
 	return uint64(v)
 }
 
-// runApp dispatches to the application packages.
+// runApp dispatches to the application packages, taking the job's inputs
+// from the batch's cache (or generating them when there is none).
 func runApp(app, input string, kind apps.SystemKind, merged bool, opt Options, override func(*core.Config)) (apps.Outcome, error) {
+	in, scale := opt.inputs, graph.Scale(opt.Scale)
 	switch app {
 	case bfs.Name:
-		return bfs.Run(kind, graph.Input(input), graph.Scale(opt.Scale), opt.Seed, merged, override)
+		return bfs.RunGraph(kind, in.graph(input, opt.Scale, opt.Seed), scale, merged, override)
 	case cc.Name:
-		return cc.Run(kind, graph.Input(input), graph.Scale(opt.Scale), opt.Seed, merged, override)
+		return cc.RunGraph(kind, in.graph(input, opt.Scale, opt.Seed), scale, merged, override)
 	case prd.Name:
-		return prd.Run(kind, graph.Input(input), graph.Scale(opt.Scale), opt.Seed, merged, override)
+		return prd.RunGraph(kind, in.graph(input, opt.Scale, opt.Seed), scale, merged, override)
 	case radii.Name:
-		return radii.Run(kind, graph.Input(input), graph.Scale(opt.Scale), opt.Seed, merged, override)
+		return radii.RunGraph(kind, in.graph(input, opt.Scale, opt.Seed), scale, opt.Seed, merged, override)
 	case spmm.Name:
-		return spmm.Run(kind, sparse.Input(input), opt.Scale, opt.Seed, merged, override)
+		m := in.matrices(input, opt.Scale, opt.Seed)
+		return spmm.RunMatrix(kind, m.a, m.b, opt.Scale, merged, override)
 	case silo.Name:
-		return silo.Run(kind, opt.Scale, opt.Seed, merged, override)
+		return silo.RunDataset(kind, in.dataset(opt.Scale, opt.Seed), opt.Scale, merged, override)
 	}
 	return apps.Outcome{}, fmt.Errorf("bench: unknown app %q", app)
 }

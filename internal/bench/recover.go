@@ -49,14 +49,21 @@ func (e *PanicError) Unwrap() error {
 	return nil
 }
 
-// protect wraps a job-running function with panic recovery.
+// protect wraps a job-running function with panic recovery. A panic that
+// happened while building a shared input reports the generator's value and
+// stack, so every job of the batch that needed the input carries the same
+// failure.
 func protect(run func(Job, Options) (apps.Outcome, error)) func(Job, Options) (apps.Outcome, error) {
 	return func(j Job, opt Options) (out apps.Outcome, err error) {
 		defer func() {
 			if r := recover(); r != nil {
+				value, stack := r, debug.Stack()
+				if bp, ok := r.(*buildPanic); ok {
+					value, stack = bp.value, bp.stack
+				}
 				out = apps.Outcome{}
 				err = &PanicError{App: j.App, Input: j.Input, Kind: j.Kind, Merged: j.Merged,
-					Value: r, Stack: debug.Stack()}
+					Value: value, Stack: stack}
 			}
 		}()
 		return run(j, opt)

@@ -69,9 +69,12 @@ const (
 // Runner executes batches of simulation jobs on a bounded worker pool.
 //
 // Results are returned in submission order regardless of completion order,
-// and every simulation is self-contained (fresh RNG, freshly generated
-// inputs), so a parallel run's outcomes are bit-identical to a serial
-// run's. The determinism test in determinism_test.go pins this down.
+// and every simulation is self-contained (fresh RNG, its own simulated
+// system), so a parallel run's outcomes are bit-identical to a serial
+// run's. The determinism test in determinism_test.go pins this down. The
+// only thing jobs share is their inputs: each distinct (input, scale, seed)
+// of a batch is generated once, by the first job that needs it, and is
+// read-only from then on. The cache lives only as long as one Run call.
 //
 // The Options carried into Run add the crash-safety layer: Cancel stops
 // the sweep cooperatively, JobTimeout bounds each job's wall-clock time,
@@ -112,6 +115,7 @@ func (r Runner) Run(opt Options, jobs []Job) []JobResult {
 		workers = len(jobs)
 	}
 
+	opt.inputs = &inputCache{}
 	results := make([]JobResult, len(jobs))
 	// Journal records commit in submission order through a reorder window:
 	// a finished job waits until every earlier job has finished, so the

@@ -6,7 +6,7 @@ package graph
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Graph is an unweighted directed graph in CSR form. For the paper's
@@ -79,39 +79,54 @@ func (g *Graph) Validate() error {
 }
 
 // FromEdges builds a CSR graph from an edge list, deduplicating and sorting
-// adjacency lists, dropping self-loops, and (when undirected) adding both
-// directions.
+// adjacency lists, dropping self-loops and out-of-range endpoints, and
+// (when undirected) adding both directions.
+//
+// It counts each vertex's degree, scatters every kept edge straight into
+// one CSR array, then sorts each row and compacts its duplicates in place,
+// so no per-edge hashing or per-vertex slice is involved.
 func FromEdges(name string, n int, edges [][2]int, undirected bool) *Graph {
-	type pair struct{ u, v int }
-	seen := make(map[pair]struct{}, len(edges)*2)
-	adj := make([][]uint64, n)
-	add := func(u, v int) {
-		if u == v || u < 0 || v < 0 || u >= n || v >= n {
-			return
-		}
-		p := pair{u, v}
-		if _, ok := seen[p]; ok {
-			return
-		}
-		seen[p] = struct{}{}
-		adj[u] = append(adj[u], uint64(v))
-	}
+	keep := func(u, v int) bool { return u != v && u >= 0 && v >= 0 && u < n && v < n }
+	off := make([]uint64, n+1)
 	for _, e := range edges {
-		add(e[0], e[1])
-		if undirected {
-			add(e[1], e[0])
+		if keep(e[0], e[1]) {
+			off[e[0]+1]++
+			if undirected {
+				off[e[1]+1]++
+			}
 		}
 	}
-	g := &Graph{Name: name, Offsets: make([]uint64, n+1)}
-	total := 0
-	for _, a := range adj {
-		total += len(a)
-	}
-	g.Neighbors = make([]uint64, 0, total)
 	for v := 0; v < n; v++ {
-		sort.Slice(adj[v], func(i, j int) bool { return adj[v][i] < adj[v][j] })
-		g.Neighbors = append(g.Neighbors, adj[v]...)
-		g.Offsets[v+1] = uint64(len(g.Neighbors))
+		off[v+1] += off[v]
 	}
-	return g
+	nb := make([]uint64, off[n])
+	next := slices.Clone(off[:n])
+	for _, e := range edges {
+		u, v := e[0], e[1]
+		if !keep(u, v) {
+			continue
+		}
+		nb[next[u]] = uint64(v)
+		next[u]++
+		if undirected {
+			nb[next[v]] = uint64(u)
+			next[v]++
+		}
+	}
+	// Sort and deduplicate each row, sliding it left over the duplicates
+	// dropped from earlier rows. Row v is read before off[v] is rewritten,
+	// and off[v+1] still holds its original value when row v is read.
+	w := uint64(0)
+	for v := 0; v < n; v++ {
+		row := nb[off[v]:off[v+1]]
+		slices.Sort(row)
+		row = slices.Compact(row)
+		off[v] = w
+		w += uint64(copy(nb[w:], row))
+	}
+	off[n] = w
+	if w < uint64(len(nb)) {
+		nb = append(make([]uint64, 0, w), nb[:w]...)
+	}
+	return &Graph{Name: name, Offsets: off, Neighbors: nb}
 }

@@ -76,24 +76,28 @@ func DatasetName(in Input) string { return specs[in].dataset }
 // Generate produces the synthetic stand-in for the named Table 3 input at
 // the given scale, deterministically from seed.
 func Generate(in Input, scale Scale, seed uint64) *Graph {
+	n, edges := generateEdges(in, scale, seed)
+	return FromEdges(string(in), n, edges, true)
+}
+
+// generateEdges draws Generate's vertex count and undirected edge list.
+func generateEdges(in Input, scale Scale, seed uint64) (int, [][2]int) {
 	s, ok := specs[in]
 	if !ok {
 		panic(fmt.Sprintf("graph: unknown input %q", in))
 	}
 	n := s.vertices[scale]
 	r := sim.NewRand(seed ^ uint64(len(in)) ^ uint64(n))
-	var g *Graph
 	switch s.kind {
 	case "rmat":
-		g = RMAT(string(in), n, int(float64(n)*s.deg/2), s.skew, r)
+		return n, rmatEdges(n, int(float64(n)*s.deg/2), s.skew, r)
 	case "mesh":
-		g = Mesh(string(in), n, r)
+		return meshEdges(n)
 	case "road":
-		g = Road(string(in), n, r)
+		return roadEdges(n, r)
 	default:
 		panic("graph: unknown generator kind " + s.kind)
 	}
-	return g
 }
 
 // RMAT generates a recursive-matrix (Kronecker-like) graph with `m`
@@ -101,6 +105,11 @@ func Generate(in Input, scale Scale, seed uint64) *Graph {
 // mass of the "a" quadrant: 0.25 is uniform (Erdős–Rényi-like), 0.57 gives
 // as-Skitter-like power-law degree distributions.
 func RMAT(name string, n, m int, skew float64, r *sim.Rand) *Graph {
+	return FromEdges(name, n, rmatEdges(n, m, skew, r), true)
+}
+
+// rmatEdges draws RMAT's m undirected edges.
+func rmatEdges(n, m int, skew float64, r *sim.Rand) [][2]int {
 	bits := 0
 	for 1<<bits < n {
 		bits++
@@ -129,13 +138,20 @@ func RMAT(name string, n, m int, skew float64, r *sim.Rand) *Graph {
 			edges = append(edges, [2]int{u, v})
 		}
 	}
-	return FromEdges(name, n, edges, true)
+	return edges
 }
 
 // Mesh generates a triangulated 2D grid: the topology class of hugetrace
 // (dynamic-simulation meshes): degree ~3 via a hexagonal-like lattice,
 // low skew, large diameter.
 func Mesh(name string, n int, r *sim.Rand) *Graph {
+	n, edges := meshEdges(n)
+	return FromEdges(name, n, edges, true)
+}
+
+// meshEdges returns Mesh's vertex count (n rounded up to a square) and
+// edge list; the mesh draws nothing from the RNG.
+func meshEdges(n int) (int, [][2]int) {
 	side := 1
 	for side*side < n {
 		side++
@@ -157,8 +173,7 @@ func Mesh(name string, n int, r *sim.Rand) *Graph {
 			}
 		}
 	}
-	_ = r
-	return FromEdges(name, n, edges, true)
+	return n, edges
 }
 
 // Road generates a road-network-like graph: a 2D grid with most degree-4
@@ -167,6 +182,13 @@ func Mesh(name string, n int, r *sim.Rand) *Graph {
 // "highway" shortcuts. Its diameter is Θ(side), reproducing the many-round
 // BFS behavior of USA-road.
 func Road(name string, n int, r *sim.Rand) *Graph {
+	n, edges := roadEdges(n, r)
+	return FromEdges(name, n, edges, true)
+}
+
+// roadEdges returns Road's vertex count (n rounded up to a square) and
+// edge list.
+func roadEdges(n int, r *sim.Rand) (int, [][2]int) {
 	side := 1
 	for side*side < n {
 		side++
@@ -199,5 +221,5 @@ func Road(name string, n int, r *sim.Rand) *Graph {
 			}
 		}
 	}
-	return FromEdges(name, n, edges, true)
+	return n, edges
 }

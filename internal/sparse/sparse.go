@@ -7,7 +7,7 @@ package sparse
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"fifer/internal/sim"
 )
@@ -228,7 +228,8 @@ func Generate(in Input, scale int, seed uint64) *CSR {
 	if band > n {
 		band = n
 	}
-	cols := make(map[uint64]struct{}, int(s.nnzRow)+4)
+	// cols is the row's distinct columns, kept sorted as they are drawn.
+	cols := make([]uint64, 0, int(s.nnzRow)+4)
 	for row := 0; row < n; row++ {
 		// Per-row non-zero count: mean nnzRow with geometric-ish spread.
 		target := int(s.nnzRow)
@@ -249,9 +250,7 @@ func Generate(in Input, scale int, seed uint64) *CSR {
 		if target > n {
 			target = n
 		}
-		for k := range cols {
-			delete(cols, k)
-		}
+		cols = cols[:0]
 		for len(cols) < target {
 			var c int
 			if s.banded {
@@ -262,14 +261,11 @@ func Generate(in Input, scale int, seed uint64) *CSR {
 			} else {
 				c = r.Intn(n)
 			}
-			cols[uint64(c)] = struct{}{}
+			if i, found := slices.BinarySearch(cols, uint64(c)); !found {
+				cols = slices.Insert(cols, i, uint64(c))
+			}
 		}
-		sorted := make([]uint64, 0, len(cols))
-		for c := range cols {
-			sorted = append(sorted, c)
-		}
-		sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-		for _, c := range sorted {
+		for _, c := range cols {
 			m.ColIdx = append(m.ColIdx, c)
 			m.Values = append(m.Values, 1+r.Float64())
 		}
