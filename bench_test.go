@@ -9,6 +9,7 @@
 package fifer_test
 
 import (
+	"fmt"
 	"testing"
 
 	"fifer"
@@ -18,6 +19,7 @@ import (
 	"fifer/internal/core"
 	"fifer/internal/graph"
 	"fifer/internal/mem"
+	"fifer/internal/ooo"
 	"fifer/internal/queue"
 	"fifer/internal/sim"
 	"fifer/internal/sparse"
@@ -241,6 +243,38 @@ func BenchmarkQueueEnqDeq(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		q.Enq(queue.Data(uint64(i)))
 		q.Deq()
+	}
+}
+
+// BenchmarkArbiterSendDeq is one credited round trip (a producer send, a
+// consumer dequeue returning its credit) with the destination queue held at
+// each depth, so a credit return that costs O(depth) shows as a slope.
+func BenchmarkArbiterSendDeq(b *testing.B) {
+	for _, depth := range []int{16, 256, 1024} {
+		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
+			arb := queue.NewArbiter(queue.NewQueue("b", depth), 1)
+			p := arb.Port(0)
+			for i := 0; i < depth-1; i++ {
+				p.Send(queue.Data(uint64(i)))
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				p.Send(queue.Data(uint64(i)))
+				arb.Deq()
+			}
+		})
+	}
+}
+
+// BenchmarkOOODispatch is one ALU instruction through a Table 2 OOO core in
+// steady state: a full ROB retires its oldest entry on every dispatch.
+func BenchmarkOOODispatch(b *testing.B) {
+	c := ooo.NewMachine(1, 1<<20).Cores[0]
+	c.Op(ooo.DefaultConfig().ROB)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.Op(1)
 	}
 }
 

@@ -147,6 +147,43 @@ func TestRunRecoversQueueCorruption(t *testing.T) {
 	}
 }
 
+// TestAuditCatchesGrownCreditRing breaks an arbiter's credit conservation
+// far enough that its sender ring must grow past the queue capacity: two
+// grants dropped, two counterfeit credits spent. The live audit must still
+// report credit-conservation, both while the extra credits are outstanding
+// and once the consumer has drained the queue and only the unpaid dropped
+// grants remain.
+func TestAuditCatchesGrownCreditRing(t *testing.T) {
+	sys := NewSystem(testConfig(2))
+	arb := sys.InterPEQueue(1, "xq", 4, 1)
+	p := arb.Port(0)
+	for p.CanSend() {
+		p.Send(queue.Data(0))
+	}
+	arb.FaultDropToken()
+	arb.FaultDropToken()
+	p.FaultAdjustCredits(+2)
+	p.Send(queue.Data(0))
+	p.Send(queue.Data(0))
+	if got := arb.CreditedBuffered(); got <= arb.Queue().Cap() {
+		t.Fatalf("credited senders %d, want past capacity %d", got, arb.Queue().Cap())
+	}
+	check := func(want string) {
+		t.Helper()
+		err := sys.AuditLive()
+		if !errors.Is(err, ErrInvariant) || !strings.Contains(err.Error(), "credit-conservation") ||
+			!strings.Contains(err.Error(), want) {
+			t.Fatalf("audit = %v, want a credit-conservation error about %q", err, want)
+		}
+	}
+	check("credits outstanding")
+	for arb.Queue().Len() > 0 {
+		arb.Deq()
+	}
+	p.FaultAdjustCredits(-2) // withdraw the counterfeit credits
+	check("dropped grant")
+}
+
 // TestAuditLiveCleanOnHealthySystem runs a healthy pipeline and audits
 // every cycle: the audit must never fire, and the run's outcome must be
 // identical with auditing on or off (the layer observes, never perturbs).

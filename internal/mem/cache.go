@@ -10,17 +10,26 @@ type Level struct {
 	name    string
 	sets    int
 	ways    int
+	pow2    bool   // sets is a power of two: setOf masks instead of dividing
+	setMask uint64 // sets-1 when pow2
 	latency uint64 // access (hit) latency in cycles
 	parent  lower  // where misses go
 
-	tags  [][]uint64 // per-set tag stacks, index 0 = MRU; tag is the line address
-	dirty [][]bool
+	// lines holds every set's tag stack in one pointer-free array: set s
+	// owns lines[s*ways : s*ways+ways], its used[s] resident lines first,
+	// MRU first. A word is the line address, with dirtyBit set when the line
+	// is dirty; line addresses are LineBytes-aligned, so bit 0 is free.
+	lines []uint64
+	used  []int32
 
 	// Statistics.
 	Accesses   uint64
 	Misses     uint64
 	Writebacks uint64
 }
+
+// dirtyBit marks a dirty line in its tag word.
+const dirtyBit = 1
 
 // lower is anything a cache level can miss into.
 type lower interface {
@@ -39,14 +48,13 @@ func NewLevel(name string, sizeBytes, ways int, latency uint64, parent lower) *L
 		panic(fmt.Sprintf("cache %q: size %d B incompatible with %d ways", name, sizeBytes, ways))
 	}
 	sets := lines / ways
-	l := &Level{name: name, sets: sets, ways: ways, latency: latency, parent: parent}
-	l.tags = make([][]uint64, sets)
-	l.dirty = make([][]bool, sets)
-	for i := range l.tags {
-		l.tags[i] = make([]uint64, 0, ways)
-		l.dirty[i] = make([]bool, 0, ways)
+	return &Level{
+		name: name, sets: sets, ways: ways,
+		pow2: sets&(sets-1) == 0, setMask: uint64(sets - 1),
+		latency: latency, parent: parent,
+		lines: make([]uint64, lines),
+		used:  make([]int32, sets),
 	}
-	return l
 }
 
 // Name returns the level's diagnostic name.
@@ -59,19 +67,29 @@ func (l *Level) Latency() uint64 { return l.latency }
 func (l *Level) SizeBytes() int { return l.sets * l.ways * LineBytes }
 
 func (l *Level) setOf(line Addr) int {
-	return int(uint64(line) / LineBytes % uint64(l.sets))
+	n := uint64(line) / LineBytes
+	if l.pow2 {
+		return int(n & l.setMask)
+	}
+	return int(n % uint64(l.sets))
+}
+
+// set returns set s's resident tag words, MRU first.
+func (l *Level) set(s int) []uint64 {
+	base := s * l.ways
+	return l.lines[base : base+int(l.used[s])]
 }
 
 // lookup probes the set for the line; on hit it promotes the line to MRU.
 func (l *Level) lookup(line Addr, write bool) bool {
-	s := l.setOf(line)
-	tags, dirty := l.tags[s], l.dirty[s]
-	for i, t := range tags {
-		if t == uint64(line) {
-			d := dirty[i] || write
-			copy(tags[1:i+1], tags[:i])
-			copy(dirty[1:i+1], dirty[:i])
-			tags[0], dirty[0] = uint64(line), d
+	set := l.set(l.setOf(line))
+	for i, w := range set {
+		if w&^dirtyBit == uint64(line) {
+			if write {
+				w |= dirtyBit
+			}
+			copy(set[1:i+1], set[:i])
+			set[0] = w
 			return true
 		}
 	}
@@ -81,23 +99,24 @@ func (l *Level) lookup(line Addr, write bool) bool {
 // fill inserts the line at MRU, evicting LRU if the set is full.
 func (l *Level) fill(line Addr, write bool) {
 	s := l.setOf(line)
-	tags, dirty := l.tags[s], l.dirty[s]
-	if len(tags) == l.ways {
-		if dirty[len(dirty)-1] {
+	base, n := s*l.ways, int(l.used[s])
+	if n == l.ways {
+		if l.lines[base+n-1]&dirtyBit != 0 {
 			l.Writebacks++
 			// Writeback traffic occupies memory bandwidth lazily: we charge
 			// it on the parent as a non-blocking write at the current time.
 			// (The requester does not wait for it.)
 		}
-		tags = tags[:len(tags)-1]
-		dirty = dirty[:len(dirty)-1]
+		n--
+	} else {
+		l.used[s]++
 	}
-	tags = append(tags, 0)
-	dirty = append(dirty, false)
-	copy(tags[1:], tags)
-	copy(dirty[1:], dirty)
-	tags[0], dirty[0] = uint64(line), write
-	l.tags[s], l.dirty[s] = tags, dirty
+	set := l.lines[base : base+n+1]
+	copy(set[1:], set[:n])
+	set[0] = uint64(line)
+	if write {
+		set[0] |= dirtyBit
+	}
 }
 
 // access implements the lower interface so levels can stack.
@@ -122,8 +141,8 @@ func (l *Level) Access(now uint64, addr Addr, write bool) uint64 {
 // Contains reports whether the line holding addr is present (no LRU update).
 func (l *Level) Contains(addr Addr) bool {
 	line := addr.Line()
-	for _, t := range l.tags[l.setOf(line)] {
-		if t == uint64(line) {
+	for _, w := range l.set(l.setOf(line)) {
+		if w&^dirtyBit == uint64(line) {
 			return true
 		}
 	}
@@ -133,11 +152,11 @@ func (l *Level) Contains(addr Addr) bool {
 // invalidate removes the line from this level and every level below it.
 func (l *Level) invalidate(line Addr) {
 	s := l.setOf(line)
-	tags, dirty := l.tags[s], l.dirty[s]
-	for i, t := range tags {
-		if t == uint64(line) {
-			l.tags[s] = append(tags[:i], tags[i+1:]...)
-			l.dirty[s] = append(dirty[:i], dirty[i+1:]...)
+	set := l.set(s)
+	for i, w := range set {
+		if w&^dirtyBit == uint64(line) {
+			copy(set[i:], set[i+1:])
+			l.used[s]--
 			break
 		}
 	}

@@ -48,7 +48,8 @@ type Core struct {
 	mshrHd int
 	mshrSz int
 
-	pred []uint8 // 2-bit saturating counters
+	pred     []uint8 // 2-bit saturating counters
+	predPow2 bool    // len(pred) is a power of two: index by mask, not %
 
 	// Statistics.
 	Instrs      uint64
@@ -60,13 +61,20 @@ type Core struct {
 }
 
 // NewCore creates a core using the given memory port for loads/stores.
+// Sizes below 1 are clamped to 1: a core needs at least one dispatch slot,
+// ROB entry, MSHR and predictor counter to make progress.
 func NewCore(cfg Config, port *mem.Port) *Core {
+	cfg.IssueWidth = max(cfg.IssueWidth, 1)
+	cfg.ROB = max(cfg.ROB, 1)
+	cfg.MSHRs = max(cfg.MSHRs, 1)
+	cfg.PredictorEntries = max(cfg.PredictorEntries, 1)
 	return &Core{
-		cfg:  cfg,
-		port: port,
-		rob:  make([]uint64, cfg.ROB),
-		mshr: make([]uint64, cfg.MSHRs),
-		pred: make([]uint8, cfg.PredictorEntries),
+		cfg:      cfg,
+		port:     port,
+		rob:      make([]uint64, cfg.ROB),
+		mshr:     make([]uint64, cfg.MSHRs),
+		pred:     make([]uint8, cfg.PredictorEntries),
+		predPow2: cfg.PredictorEntries&(cfg.PredictorEntries-1) == 0,
 	}
 }
 
@@ -95,25 +103,29 @@ func (c *Core) dispatch(complete uint64) {
 		c.cycle++
 	}
 	// ROB full: dispatch stalls until the oldest instruction retires.
-	if c.robSz == c.cfg.ROB {
+	if c.robSz == len(c.rob) {
 		oldest := c.rob[c.robHd]
-		c.robHd = (c.robHd + 1) % c.cfg.ROB
+		c.robHd = wrap(c.robHd+1, len(c.rob))
 		c.robSz--
 		if oldest > c.cycle {
 			c.cycle = oldest
 			c.slot = 0
 		}
 	}
-	// In-order retirement: completion times must be monotone at the tail to
-	// model the retire pointer; we clamp to the previous tail.
-	if c.robSz > 0 {
-		prev := c.rob[(c.robHd+c.robSz-1)%c.cfg.ROB]
-		if complete < prev {
-			complete = prev
-		}
-	}
-	c.rob[(c.robHd+c.robSz)%c.cfg.ROB] = complete
+	// In-order retirement needs no clamp to the previous tail: entries pop
+	// oldest first, and each pop lifts cycle to at least that entry's
+	// completion, so by the time an entry pops cycle already covers every
+	// older one, exactly as if its completion had been raised to theirs.
+	c.rob[wrap(c.robHd+c.robSz, len(c.rob))] = complete
 	c.robSz++
+}
+
+// wrap reduces a ring index i < 2n into [0, n) without a division.
+func wrap(i, n int) int {
+	if i >= n {
+		i -= n
+	}
+	return i
 }
 
 // Op reports n independent single-cycle ALU instructions.
@@ -137,16 +149,16 @@ func (c *Core) Load(addr mem.Addr, dep Dep) Dep {
 		// Miss: occupy an MSHR; if all are busy, the miss waits for the
 		// oldest outstanding one.
 		c.L1MissLoads++
-		if c.mshrSz == c.cfg.MSHRs {
+		if c.mshrSz == len(c.mshr) {
 			oldest := c.mshr[c.mshrHd]
-			c.mshrHd = (c.mshrHd + 1) % c.cfg.MSHRs
+			c.mshrHd = wrap(c.mshrHd+1, len(c.mshr))
 			c.mshrSz--
 			if oldest > issue {
 				delay := oldest - issue
 				ready += delay
 			}
 		}
-		c.mshr[(c.mshrHd+c.mshrSz)%c.cfg.MSHRs] = ready
+		c.mshr[wrap(c.mshrHd+c.mshrSz, len(c.mshr))] = ready
 		c.mshrSz++
 	}
 	c.dispatch(ready)
@@ -178,7 +190,12 @@ func (c *Core) Branch(site uint64, taken bool, dep Dep) {
 		resolve = uint64(dep)
 	}
 	c.dispatch(resolve)
-	idx := site % uint64(len(c.pred))
+	var idx uint64
+	if c.predPow2 {
+		idx = site & uint64(len(c.pred)-1)
+	} else {
+		idx = site % uint64(len(c.pred))
+	}
 	ctr := c.pred[idx]
 	predictTaken := ctr >= 2
 	if predictTaken != taken {

@@ -50,7 +50,7 @@ func (p *CreditPort) Send(t Token) bool {
 			p.index, p.credits)
 	}
 	p.credits--
-	p.arb.senders = append(p.arb.senders, p.index)
+	p.arb.pushSender(p.index)
 	if p.arb.credit != nil {
 		p.arb.credit(p.index, true)
 	}
@@ -61,9 +61,17 @@ func (p *CreditPort) Send(t Token) bool {
 // destination queue, hands out producer ports, and returns each token's
 // credit to the producer that sent it as the consumer drains tokens.
 type Arbiter struct {
-	dst     *Queue
-	ports   []*CreditPort
-	senders []int // port index of each buffered credited token, FIFO
+	dst   *Queue
+	ports []*CreditPort
+
+	// senders is a ring holding the port index of each buffered credited
+	// token, oldest at sendHd, so returning a credit pops it in O(1). It is
+	// sized to dst.Cap(), which credit conservation never lets it exceed;
+	// it grows only when fault injection breaks conservation (a dropped
+	// grant plus counterfeit credits), leaving the audit to report that.
+	senders []int
+	sendHd  int
+	sendN   int
 
 	// credit, when non-nil, observes credit movements: f(port, true) when a
 	// send consumes one of port's credits, f(port, false) when a consumer
@@ -95,7 +103,7 @@ func NewArbiter(dst *Queue, nproducers int) *Arbiter {
 	if nproducers <= 0 {
 		panic("queue: arbiter needs at least one producer")
 	}
-	a := &Arbiter{dst: dst}
+	a := &Arbiter{dst: dst, senders: make([]int, dst.Cap())}
 	base := dst.Cap() / nproducers
 	extra := dst.Cap() % nproducers
 	for i := 0; i < nproducers; i++ {
@@ -128,14 +136,17 @@ func (a *Arbiter) Deq() (Token, bool) {
 }
 
 func (a *Arbiter) returnCredit() {
-	if len(a.senders) == 0 {
+	if a.sendN == 0 {
 		// The token predates credit accounting (e.g. seeded directly); no
 		// producer is owed a credit.
 		return
 	}
-	idx := a.senders[0]
-	copy(a.senders, a.senders[1:])
-	a.senders = a.senders[:len(a.senders)-1]
+	idx := a.senders[a.sendHd]
+	a.sendHd++
+	if a.sendHd == len(a.senders) {
+		a.sendHd = 0
+	}
+	a.sendN--
 	a.ports[idx].credits++
 	if a.credit != nil {
 		a.credit(idx, false)
@@ -146,15 +157,36 @@ func (a *Arbiter) returnCredit() {
 // through a credit port and still pin a sender's credit. It can be less
 // than the queue length (tokens seeded directly pin no credit) but never
 // more; the live audit checks that inequality every period.
-func (a *Arbiter) CreditedBuffered() int { return len(a.senders) }
+func (a *Arbiter) CreditedBuffered() int { return a.sendN }
 
 // TotalCredits returns credits held across all ports plus credits pinned by
 // buffered tokens. The invariant TotalCredits == dst.Cap() holds at all
 // times for queues whose every enqueue went through a port.
 func (a *Arbiter) TotalCredits() int {
-	total := len(a.senders)
+	total := a.sendN
 	for _, p := range a.ports {
 		total += p.credits
 	}
 	return total
+}
+
+// pushSender records port as the sender of the newest buffered token.
+func (a *Arbiter) pushSender(port int) {
+	if a.sendN == len(a.senders) {
+		a.growSenders()
+	}
+	i := a.sendHd + a.sendN
+	if i >= len(a.senders) {
+		i -= len(a.senders)
+	}
+	a.senders[i] = port
+	a.sendN++
+}
+
+// growSenders doubles the sender ring, unwrapping it to start at index 0.
+func (a *Arbiter) growSenders() {
+	nb := make([]int, 2*len(a.senders))
+	n := copy(nb, a.senders[a.sendHd:])
+	copy(nb[n:], a.senders[:a.sendHd])
+	a.senders, a.sendHd = nb, 0
 }

@@ -97,7 +97,7 @@ func (q *Queue) Enq(t Token) bool {
 		q.FullEvts++
 		return false
 	}
-	q.buf[(q.head+q.size)%len(q.buf)] = t
+	q.buf[q.slot(q.size)] = t
 	q.size++
 	q.Enqueued++
 	if q.occ != nil {
@@ -117,7 +117,7 @@ func (q *Queue) Deq() (t Token, ok bool) {
 	}
 	wasFull := q.size == len(q.buf)
 	t = q.buf[q.head]
-	q.head = (q.head + 1) % len(q.buf)
+	q.head = q.slot(1)
 	q.size--
 	q.Dequeued++
 	if q.occ != nil {
@@ -142,7 +142,18 @@ func (q *Queue) PeekAt(i int) (t Token, ok bool) {
 	if i < 0 || i >= q.size {
 		return Token{}, false
 	}
-	return q.buf[(q.head+i)%len(q.buf)], true
+	return q.buf[q.slot(i)], true
+}
+
+// slot returns the ring index i positions past head, for 0 <= i <= Cap().
+// Wrapping by compare-and-subtract instead of % keeps a 64-bit division off
+// every enqueue, dequeue and peek.
+func (q *Queue) slot(i int) int {
+	j := q.head + i
+	if j >= len(q.buf) {
+		j -= len(q.buf)
+	}
+	return j
 }
 
 // Sample records the current occupancy for mean-occupancy statistics.
