@@ -167,15 +167,6 @@ func BenchmarkZeroCostReconfig(b *testing.B) {
 
 // --- Ablations (DESIGN.md §6) ------------------------------------------------
 
-func BenchmarkAblationSchedulerPolicy(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		mustRun(b, "BFS", "In", fifer.FiferPipe, false, nil) // most-work (paper)
-		mustRun(b, "BFS", "In", fifer.FiferPipe, false, func(cfg *core.Config) {
-			cfg.SchedPolicy = core.PolicyRoundRobin
-		})
-	}
-}
-
 func BenchmarkAblationSIMD(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		mustRun(b, "BFS", "In", fifer.FiferPipe, false, nil)
@@ -200,11 +191,11 @@ func BenchmarkAblationDRM(b *testing.B) {
 // --- Per-application simulation benchmarks -----------------------------------
 //
 // One whole-simulation benchmark per app (first input, Fifer pipeline) with
-// simulated cycles/s as the reported metric. These are the perf trajectory
-// the BENCH_*.json baselines track; `fiferbench -perfjson` records the same
-// runs with an explicit fast-forward-vs-oracle comparison. The FastForward/
-// Oracle sub-benchmarks time the same simulation under both execution modes,
-// so `-bench BenchmarkRun` shows the parking and fast-forward win directly.
+// simulated cycles/s as the reported metric. The FastForward/Oracle
+// sub-benchmarks time the same simulation under both execution modes, so
+// `-bench BenchmarkRun` shows the parking and fast-forward win directly. The
+// end-to-end measurement of record is perfbench/run.sh; the frozen
+// BENCH_0/1.json files are its predecessor's history.
 
 func benchRunApp(b *testing.B, app string) {
 	input := bench.InputsOf(app)[0]

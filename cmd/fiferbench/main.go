@@ -30,11 +30,9 @@
 // Performance: the simulator parks provably-inert PEs and fast-forwards
 // provably-inert cycles by default (DESIGN.md §10); -no-fast-forward runs
 // the naive per-cycle loop instead — results are byte-identical, only wall
-// time changes. -perfjson FILE skips the experiments and instead times
-// every app both ways (oracle loop, default kernel), writing the
-// baseline (cycles/s, wall time, speedups) as JSON; scripts/bench.sh wraps
-// this to refresh BENCH_<n>.json. -cpuprofile/-memprofile write pprof
-// profiles of whatever the invocation ran (see EXPERIMENTS.md §profiling).
+// time changes. -cpuprofile/-memprofile write pprof profiles of whatever the
+// invocation ran (see EXPERIMENTS.md §profiling). The simulator's own speed
+// is measured by perfbench/run.sh, not here.
 //
 // Crash-safe sweeps: -journal FILE appends every finished job to a
 // checksummed JSONL journal; -resume (with the same -journal and workload
@@ -79,7 +77,6 @@ func fiferbench() int {
 	tracePath := flag.String("trace", "", "write per-simulation event traces to this Chrome/Perfetto JSON file")
 	metricsPath := flag.String("metrics", "", "write periodic per-PE metrics samples to this file (.csv extension = CSV, else JSONL)")
 	sample := flag.Uint64("sample", 0, "metrics sample period in cycles (0 = default 4096)")
-	perfJSON := flag.String("perfjson", "", "instead of experiments, time each app fast-forward vs oracle and write the perf baseline to this JSON file")
 	noFF := flag.Bool("no-fast-forward", false, "run the naive per-cycle loop instead of the parking, fast-forwarding kernel (identical results, slower)")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the whole run to this file")
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile (after the run) to this file")
@@ -119,13 +116,6 @@ func fiferbench() int {
 		}()
 	}
 
-	if *perfJSON != "" {
-		if err := runPerfJSON(*perfJSON, opt); err != nil {
-			fmt.Fprintf(os.Stderr, "fiferbench: perfjson: %v\n", err)
-			return 1
-		}
-		return 0
-	}
 	var sink *bench.TraceSink
 	if *tracePath != "" || *metricsPath != "" {
 		sink = bench.NewTraceSink(*sample)

@@ -107,3 +107,18 @@ func TestSystemKindStrings(t *testing.T) {
 		}
 	}
 }
+
+// TestScaleLLCRoundsToWholeSets shrinks an LLC whose scaled size is not a
+// whole number of sets (1000 KB / 16 = 62.5 16-way sets): the system must
+// still build, with the LLC rounded down to 62 sets.
+func TestScaleLLCRoundsToWholeSets(t *testing.T) {
+	cfg := core.DefaultConfig()
+	cfg.Hier.LLCBytes = 1000 << 10
+	ScaleLLC(&cfg, 0)
+	if got, want := cfg.Hier.LLCBytes, 62*16*64; got != want {
+		t.Fatalf("LLC = %d B, want %d", got, want)
+	}
+	if _, err := core.NewSystemChecked(cfg); err != nil {
+		t.Fatal(err)
+	}
+}

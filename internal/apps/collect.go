@@ -58,9 +58,10 @@ func LLCDivisor(scale int) int {
 	}
 }
 
-// ScaleLLC applies LLCDivisor to a CGRA system configuration.
+// ScaleLLC applies LLCDivisor to a CGRA system configuration, rounding the
+// LLC down to whole sets.
 func ScaleLLC(cfg *core.Config, scale int) {
-	cfg.Hier.LLCBytes /= LLCDivisor(scale)
+	cfg.Hier.ShrinkLLC(LLCDivisor(scale))
 }
 
 // NewOOOMachine builds an OOO machine whose LLC is scaled consistently with

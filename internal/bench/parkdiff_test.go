@@ -16,8 +16,10 @@ import (
 // byte-identical whether the core parks inert PEs (the default kernel) or
 // ticks every PE on every cycle (Options.NoFastForward, the oracle), on more
 // input seeds, under tight observation cadences, and across worker counts.
-// The test names date from the sharded kernel this suite used to pin; they
-// are kept so the cases keep their identity. The core-level property tests
+// The "Shard" in the test names (and "shardsK" in the subtest names) dates
+// from the retired sharded kernel this suite used to pin; every test here
+// compares per-PE parking against the oracle, and the names are kept so the
+// recorded test IDs stay stable. The core-level property tests
 // live in internal/core/parking_test.go.
 
 // TestShardInvarianceApps runs every app on the parking kernel against the

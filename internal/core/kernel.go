@@ -32,21 +32,21 @@ import (
 // something arrives from outside, so each cycle the loop walks the PEs in
 // ascending id and ticks only those that can act: wake <= now, an external
 // arrival marked since the last tick (dirty), or a poll PE after a firing.
-// The rest are parked: their fixed per-cycle charges (CPI bucket, 64-cycle
-// queue-occupancy samples, blocked-DRM OutFull counts, the sliding
-// scheduler cooldown) are deferred and replayed lazily by peCatchUp, which
-// applies exactly what the naive loop would have applied cycle by cycle.
+// The rest are parked: their fixed per-cycle charges (CPI bucket,
+// blocked-DRM OutFull counts, the sliding scheduler cooldown) are deferred
+// and replayed lazily by peCatchUp, which applies exactly what the naive
+// loop would have applied cycle by cycle.
 // When no PE can act before some future cycle W, the loop jumps the clock
 // to min(W, next observation boundary) — with every PE parked, the jump is
 // the whole job.
 //
 // Arrival marks come from exchange hooks on every inter-PE arbiter:
 //
-//   - a credited send settles the consumer up to (not including) the
-//     current cycle against its pre-send occupancy, then marks it dirty and
-//     busy. A consumer with a higher id than the sender ticks this same
-//     cycle and one with a lower id next cycle, which is exactly the
-//     ascending-order visibility rule of the naive loop;
+//   - a credited send marks the consumer dirty and busy. A consumer with a
+//     higher id than the sender ticks this same cycle and one with a lower
+//     id next cycle, which is exactly the ascending-order visibility rule
+//     of the naive loop. Its deferred charges need no settling here: a
+//     send changes nothing they depend on, and the tick catches them up;
 //   - a credit return marks the producing port's PE dirty (the port→PE
 //     binding is learned at the port's first send; a return always follows
 //     a send);
@@ -65,11 +65,10 @@ import (
 // first; they also clamp the jump, so every check runs at its original
 // cycle against the same state as in the naive loop. The watchdog's
 // signature reads only monotonic counters, frozen for parked PEs, and needs
-// no settling. The 64-cycle QMem.Sample runs once, after the whole sweep,
-// for the PEs that ticked; parked PEs take theirs in catch-up. The only
-// behavioral assumption is the kernel contract stage.Kernel documents: a
-// blocked TryFire consumes nothing and is repeatable. The parking-vs-oracle
-// differential suites pin the equivalence on every surface.
+// no settling. The only behavioral assumption is the kernel contract
+// stage.Kernel documents: a blocked TryFire consumes nothing and is
+// repeatable. The parking-vs-oracle differential suites pin the equivalence
+// on every surface.
 
 // horizonNever is the wake cycle of a component that cannot act again
 // without an external state change.
@@ -184,14 +183,6 @@ func (s *System) runSeq(prog Program) (res Result, err error) {
 			}
 		}
 		s.curPE = nil
-		if now%64 == 0 {
-			// After the whole sweep, so every same-cycle send has landed.
-			for _, pe := range s.PEs {
-				if pe.caughtUp > now {
-					pe.QMem.Sample()
-				}
-			}
-		}
 		// The quiet scan reads each PE's cached busy flag, refreshing it
 		// only after a tick: a parked PE's Busy answer is frozen except for
 		// arrivals, which set it directly.
@@ -280,7 +271,6 @@ func (s *System) exchangeHooks(a *queue.Arbiter, consumer *PE) {
 		if producer[port] == nil {
 			producer[port] = s.curPE
 		}
-		s.peCatchUp(consumer, s.Cycle)
 		consumer.dirty = true
 		consumer.busy, consumer.busyStale = true, false
 	})
@@ -302,20 +292,12 @@ func (s *System) exchangeHooks(a *queue.Arbiter, consumer *PE) {
 }
 
 // peCatchUp replays one parked PE's deferred per-cycle accounting for cycles
-// [caughtUp, to): the fixed charges and the 64-cycle sampling rhythm the
-// naive loop would have applied. Occupancies are frozen while a PE is
-// parked, so the samples batch into one SampleN per queue.
+// [caughtUp, to): the fixed charges the naive loop would have applied.
 func (s *System) peCatchUp(pe *PE, to uint64) {
-	from := pe.caughtUp
-	if to <= from {
-		return
+	if from := pe.caughtUp; to > from {
+		pe.advanceInert(to, to-from)
+		pe.caughtUp = to
 	}
-	pe.advanceInert(to, to-from)
-	// Multiples of 64 in [from, to), counted without underflow at from = 0.
-	if n64 := (to+63)/64 - (from+63)/64; n64 > 0 {
-		pe.QMem.SampleN(n64)
-	}
-	pe.caughtUp = to
 }
 
 // settle brings every PE's deferred accounting up to the current cycle, so
@@ -328,8 +310,7 @@ func (s *System) settle() {
 
 // settleCut settles a run that a panic cut short. Inside the sweep (curPE
 // set), the naive loop had already ticked every PE below curPE at this
-// cycle, so a parked one is charged that cycle too — before the cycle's
-// occupancy sample, which never ran.
+// cycle, so a parked one is charged that cycle too.
 func (s *System) settleCut() {
 	s.settle()
 	if cur := s.curPE; cur != nil {

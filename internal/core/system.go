@@ -229,23 +229,6 @@ func (s *System) finishRun(res *Result) {
 	res.Reconfigs = nRec
 }
 
-// MeanQueueOccupancy returns the average sampled occupancy (tokens) across
-// all queue-memory-resident queues — the decoupling actually in use, which
-// Sec. 8.3 relates to residence times.
-func (s *System) MeanQueueOccupancy() float64 {
-	sum, n := 0.0, 0
-	for _, pe := range s.PEs {
-		for _, q := range pe.QMem.Queues() {
-			sum += q.MeanOccupancy()
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
-}
-
 // CheckInvariants verifies conservation properties after a run; it is used
 // by integration tests. It returns an error describing the first violation.
 func (s *System) CheckInvariants() error {

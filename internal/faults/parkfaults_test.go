@@ -20,8 +20,9 @@ import (
 // this pins that the hook rule holds and that the kernel's settling and
 // cached busy flags never show a detector a stale machine. Each scenario
 // below is one of the armed-fault suites from faults_test.go rebuilt on a
-// 4-PE system. The test name dates from the sharded kernel this suite used
-// to pin; it is kept so the cases keep their identity.
+// 4-PE system. The "Sharded" in the test name dates from the retired sharded
+// kernel this suite used to pin; the test compares per-PE parking against
+// the oracle, and the name is kept so the recorded test IDs stay stable.
 func TestShardedDetectorParity(t *testing.T) {
 	scenarios := []struct {
 		name  string

@@ -141,16 +141,10 @@ func rmatEdges(n, m int, skew float64, r *sim.Rand) [][2]int {
 	return edges
 }
 
-// Mesh generates a triangulated 2D grid: the topology class of hugetrace
-// (dynamic-simulation meshes): degree ~3 via a hexagonal-like lattice,
-// low skew, large diameter.
-func Mesh(name string, n int, r *sim.Rand) *Graph {
-	n, edges := meshEdges(n)
-	return FromEdges(name, n, edges, true)
-}
-
-// meshEdges returns Mesh's vertex count (n rounded up to a square) and
-// edge list; the mesh draws nothing from the RNG.
+// meshEdges generates a triangulated 2D grid: the topology class of
+// hugetrace (dynamic-simulation meshes): degree ~3 via a hexagonal-like
+// lattice, low skew, large diameter. It returns the vertex count (n rounded
+// up to a square) and the edge list; the mesh draws nothing from the RNG.
 func meshEdges(n int) (int, [][2]int) {
 	side := 1
 	for side*side < n {

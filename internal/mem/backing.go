@@ -81,6 +81,3 @@ func (b *Backing) AllocSlice(vals []uint64) Addr {
 	}
 	return base
 }
-
-// Footprint returns the number of bytes allocated so far.
-func (b *Backing) Footprint() int { return int(b.brk) }

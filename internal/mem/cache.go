@@ -63,9 +63,6 @@ func (l *Level) Name() string { return l.name }
 // Latency returns the hit latency in cycles.
 func (l *Level) Latency() uint64 { return l.latency }
 
-// SizeBytes returns the cache capacity.
-func (l *Level) SizeBytes() int { return l.sets * l.ways * LineBytes }
-
 func (l *Level) setOf(line Addr) int {
 	n := uint64(line) / LineBytes
 	if l.pow2 {

@@ -41,6 +41,14 @@ func DefaultCoreHierarchy(cores int) HierarchyConfig {
 	}
 }
 
+// ShrinkLLC divides the shared LLC by div (values below 1 count as 1),
+// rounding down to whole LLCWays-way sets and keeping at least one set, so
+// any divisor yields a size NewLevel accepts.
+func (c *HierarchyConfig) ShrinkLLC(div int) {
+	set := c.LLCWays * LineBytes
+	c.LLCBytes = max(c.LLCBytes/max(div, 1)/set, 1) * set
+}
+
 // Hierarchy instantiates the shared portion (LLC + HBM) once and a private
 // L1 (and optional L2) per client.
 type Hierarchy struct {

@@ -187,3 +187,21 @@ func TestHierarchyConfigs(t *testing.T) {
 		t.Fatal("client caches missing")
 	}
 }
+
+func TestShrinkLLC(t *testing.T) {
+	const set = 16 * LineBytes
+	for _, tc := range []struct{ bytes, div, want int }{
+		{16 << 20, 16, 1 << 20}, // even divisors are exact
+		{16 << 20, 1, 16 << 20},
+		{16 << 20, 0, 16 << 20},     // below 1 counts as 1
+		{2 << 20, 3, 682 * set},     // rounds down to whole sets
+		{2 << 20, 1 << 20, 1 * set}, // never below one set
+	} {
+		c := HierarchyConfig{LLCBytes: tc.bytes, LLCWays: 16}
+		c.ShrinkLLC(tc.div)
+		if c.LLCBytes != tc.want {
+			t.Errorf("ShrinkLLC(%d B / %d) = %d B, want %d", tc.bytes, tc.div, c.LLCBytes, tc.want)
+		}
+		NewLevel("llc", c.LLCBytes, c.LLCWays, 40, NewHBM(120, 128)) // must not panic
+	}
+}

@@ -18,13 +18,11 @@ func NewMachine(n int, backingBytes int) *Machine {
 }
 
 // NewMachineLLCDiv is NewMachine with the shared LLC shrunk by llcDiv, used
-// to keep working-set-to-cache ratios faithful on scaled-down inputs.
+// to keep working-set-to-cache ratios faithful on scaled-down inputs. The
+// LLC rounds down to whole sets (mem.HierarchyConfig.ShrinkLLC).
 func NewMachineLLCDiv(n, backingBytes, llcDiv int) *Machine {
-	if llcDiv < 1 {
-		llcDiv = 1
-	}
 	h := mem.DefaultCoreHierarchy(n)
-	h.LLCBytes /= llcDiv
+	h.ShrinkLLC(llcDiv)
 	m := &Machine{
 		Cfg:     DefaultConfig(),
 		Backing: mem.NewBacking(backingBytes),

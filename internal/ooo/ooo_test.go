@@ -120,9 +120,17 @@ func TestStoreValueFunctional(t *testing.T) {
 	}
 }
 
+// TestLLCDivMachine shrinks the 2 MB single-core LLC evenly and unevenly:
+// 2 MB / 3 is not a whole number of 16-way sets, so it rounds down to 682
+// sets instead of panicking in mem.NewLevel.
 func TestLLCDivMachine(t *testing.T) {
-	m := NewMachineLLCDiv(1, 1<<20, 4)
-	if m.Hier.Config.LLCBytes != (2<<20)/4 {
-		t.Fatalf("LLC = %d", m.Hier.Config.LLCBytes)
+	for _, tc := range []struct{ div, want int }{
+		{4, (2 << 20) / 4},
+		{3, 682 * 16 * 64},
+	} {
+		m := NewMachineLLCDiv(1, 1<<20, tc.div)
+		if got := m.Hier.Config.LLCBytes; got != tc.want {
+			t.Fatalf("LLC / %d = %d B, want %d", tc.div, got, tc.want)
+		}
 	}
 }

@@ -67,21 +67,6 @@ func (m *Mem) MustAlloc(name string, capTokens int) *Queue {
 	return q
 }
 
-// Sample records occupancy samples on every allocated queue.
-func (m *Mem) Sample() {
-	for _, q := range m.queues {
-		q.Sample()
-	}
-}
-
-// SampleN records k occupancy samples on every allocated queue in one step,
-// equivalent to k Sample calls over a window with no queue activity.
-func (m *Mem) SampleN(k uint64) {
-	for _, q := range m.queues {
-		q.SampleN(k)
-	}
-}
-
 // Buffered returns the total number of tokens currently resident across all
 // queues in this memory. O(1): the queues maintain the aggregate count on
 // every enqueue/dequeue, because this is read on the simulator's hot path.

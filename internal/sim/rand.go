@@ -1,6 +1,5 @@
-// Package sim provides the shared building blocks of the cycle-level
-// simulator: a deterministic random-number generator, cycle bookkeeping,
-// and a small statistics registry.
+// Package sim provides the cycle-level simulator's deterministic
+// random-number generator.
 //
 // Everything in this package (and in the packages built on it) is
 // deterministic: the same seed and configuration always produce the same
@@ -58,12 +57,4 @@ func (r *Rand) Perm(n int) []int {
 		p[i], p[j] = p[j], p[i]
 	}
 	return p
-}
-
-// Shuffle pseudo-randomly reorders the first n elements using swap.
-func (r *Rand) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
 }

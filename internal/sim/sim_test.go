@@ -69,20 +69,3 @@ func TestPermProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestStats(t *testing.T) {
-	s := NewStats()
-	s.Counter("b").Add(3)
-	s.Counter("a").Inc()
-	s.Counter("b").Inc()
-	if s.Get("b") != 4 || s.Get("a") != 1 || s.Get("missing") != 0 {
-		t.Fatal("counter values wrong")
-	}
-	names := s.Names()
-	if len(names) != 2 || names[0] != "a" || names[1] != "b" {
-		t.Fatalf("names = %v", names)
-	}
-	if s.String() != "a=1\nb=4\n" {
-		t.Fatalf("render = %q", s.String())
-	}
-}
